@@ -16,11 +16,13 @@
  * (see docs/suffix_batching.md).
  *
  * Executions per row:
- *   serial      the legacy internal StreamExecutor, stream loop and
- *               kernel pool pinned to one thread (the bit-exactness
- *               reference),
+ *   serial      the serial oracle engine (one thread, depth 1, batch
+ *               off) with the kernel pool pinned to one thread (the
+ *               bit-exactness reference),
  *   pipe=off    the Engine serving API with frame pipelining
- *               disabled (pipeline_depth=1),
+ *               disabled (pipeline_depth=1); one stream runs inline
+ *               on the calling thread, its kernels spread over the
+ *               global kernel pool,
  *   pipe=on     the Engine with the stage scheduler enabled,
  *   batch=on    (with --batch=on|both) pipe=on plus cross-stream
  *               suffix batching (batch=auto).
@@ -52,7 +54,6 @@
 
 #include "api/engine.h"
 #include "bench_common.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "util/json.h"
 
@@ -191,22 +192,17 @@ engine_config(const Workload &wl, i64 threads, i64 pipeline_depth)
     return config;
 }
 
-/** Legacy-API options matching engine_config, for the cross-check. */
-StreamExecutorOptions
-legacy_options(const Workload &wl, i64 threads)
+/**
+ * The serial oracle on `feeds`, with the kernel pool pinned to one
+ * thread: the bit-exactness reference every other row must match.
+ */
+RunReport
+serial_reference(const Network &net, const Workload &wl,
+                 const std::vector<Sequence> &feeds)
 {
-    StreamExecutorOptions opts;
-    opts.num_threads = threads;
-    opts.pipeline_depth = 1;
-    opts.amc.search_radius = wl.search_radius;
-    opts.amc.target_choice = std::string(wl.target) == "early"
-                                 ? TargetChoice::kEarly
-                                 : TargetChoice::kLastSpatial;
-    const std::string policy = wl.policy;
-    opts.make_policy = [policy](i64) {
-        return PolicyRegistry::instance().make(policy);
-    };
-    return opts;
+    ThreadPool::set_global_size(1);
+    Engine engine(net, engine_config(wl, 1, 1));
+    return engine.run(feeds);
 }
 
 /** Everything the suffix-batching comparison phase produced. */
@@ -258,11 +254,9 @@ run_batch_phase(const Args &args, i64 streams, i64 frames)
     const std::vector<Sequence> feeds =
         multi_stream_set(/*seed=*/43, streams, frames, 80);
 
-    ThreadPool::set_global_size(1);
-    StreamExecutor serial(net, legacy_options(wl, 1));
-    const BatchResult base = serial.run(feeds);
+    const RunReport base = serial_reference(net, wl, feeds);
     phase.serial_fps = base.frames_per_second();
-    phase.serial_digest = base.digest();
+    phase.serial_digest = base.digest;
 
     ThreadPool::set_global_size(args.threads);
     {
@@ -277,8 +271,8 @@ run_batch_phase(const Args &args, i64 streams, i64 frames)
         Engine engine(net, config);
         phase.on = engine.run(feeds);
     }
-    phase.identical = base.digest() == phase.off.digest &&
-                      base.digest() == phase.on.digest;
+    phase.identical = base.digest == phase.off.digest &&
+                      base.digest == phase.on.digest;
     return phase;
 }
 
@@ -366,19 +360,21 @@ main(int argc, char **argv)
         const std::vector<Sequence> streams =
             multi_stream_set(/*seed=*/41, n, args.frames, args.size);
 
-        // 1-thread serial baseline on the legacy internal API: stream
-        // loop, frame loop, and kernels pinned to one thread.
-        ThreadPool::set_global_size(1);
-        StreamExecutor serial(net, legacy_options(wl, 1));
-        const BatchResult base = serial.run(streams);
+        // 1-thread serial baseline: stream loop, frame loop, and
+        // kernels pinned to one thread.
+        const RunReport base = serial_reference(net, wl, streams);
 
         // The Engine serving API, frame pipelining off/on. Streams
         // fan out across its pool; with pipelining the stage
         // scheduler additionally overlaps frames within each stream.
+        // A single stream without pipelining runs inline instead, so
+        // its kernels keep their intra-op fan-out over the global
+        // pool (kernels called on a pool worker run serially).
         ThreadPool::set_global_size(args.threads);
         RunReport off;
         if (run_off) {
-            Engine engine(net, engine_config(wl, args.threads, 1));
+            Engine engine(
+                net, engine_config(wl, n == 1 ? 1 : args.threads, 1));
             off = engine.run(streams);
         }
         RunReport on;
@@ -398,13 +394,13 @@ main(int argc, char **argv)
 
         bool identical = true;
         if (run_off) {
-            identical = identical && base.digest() == off.digest;
+            identical = identical && base.digest == off.digest;
         }
         if (run_on) {
-            identical = identical && base.digest() == on.digest;
+            identical = identical && base.digest == on.digest;
         }
         if (run_batch) {
-            identical = identical && base.digest() == batched.digest;
+            identical = identical && base.digest == batched.digest;
         }
         all_identical = all_identical && identical;
         const double speedup =

@@ -66,10 +66,23 @@ the baseline after an intentional kernel change:
 The merged file stores normalized ratios directly (anchor rows pinned
 at 1.0), which load_rows/the gate consume unchanged.
 
+Ratio-gate mode checks one same-run speedup inside a single report,
+e.g. the multi-stream smoke gates:
+
+  python3 scripts/check_bench_baseline.py \
+      --ratio BENCH_multi_stream_smoke.json \
+      --num fps_pipelined --den fps_serial_frames \
+      --bar 1.3 --identity identical
+
+It passes when report[num] / report[den] >= bar and fails with exit 1
+below it. A false report[identity] (the run's digests diverged from
+the serial reference) exits 2 before any ratio is read.
+
 Exit codes (the CI retry convention): 0 = pass, 1 = regression past
-the threshold (retryable -- CI re-runs the bench up to 3 times, since
-shared runners are noisy neighbors), 2 = malformed report or missing
-anchor rows (a configuration bug; never retried).
+the threshold or ratio below its bar (retryable -- CI re-runs the
+bench up to 3 times, since shared runners are noisy neighbors), 2 =
+malformed report, missing anchor rows or keys, or digest divergence (a
+configuration or correctness bug; never retried).
 """
 
 from __future__ import annotations
@@ -153,6 +166,33 @@ def anchor_name(name: str) -> str | None:
     return None
 
 
+def ratio_gate(path: str, num: str, den: str, bar: float,
+               identity: str) -> NoReturn:
+    """Gate report[num] / report[den] >= bar on one report.
+
+    A false report[identity] is a digest divergence: exit 2, never
+    retried, so an intermittent race cannot pass on a lucky re-run.
+    """
+    try:
+        with open(path) as f:
+            doc: dict[str, Any] = json.load(f)
+        identical = bool(doc[identity])
+        top = float(doc[num])
+        bottom = float(doc[den])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"error: cannot read {num}/{den}/{identity} from {path}: {e}")
+        sys.exit(2)
+    if not identical:
+        print(f"{identity} is false: digests diverged from the serial "
+              "reference")
+        sys.exit(2)
+    ratio = top / bottom if bottom > 0 else 0.0
+    passed = ratio >= bar
+    print(f"{'ok' if passed else 'FAIL'} {num} {top:.2f} / {den} "
+          f"{bottom:.2f} = {ratio:.2f}x (bar {bar:.2f}x)")
+    sys.exit(0 if passed else 1)
+
+
 def merge(out_path: str, run_paths: list[str]) -> NoReturn:
     """Merge N bench runs into a committed baseline.
 
@@ -203,8 +243,20 @@ def main() -> NoReturn:
                     help="write a merged baseline from RUNS instead of gating")
     ap.add_argument("runs", nargs="*", metavar="RUN",
                     help="bench JSON reports to merge (with --merge)")
+    ap.add_argument("--ratio", metavar="REPORT",
+                    help="gate one ratio of REPORT's keys instead")
+    ap.add_argument("--num", help="numerator key (with --ratio)")
+    ap.add_argument("--den", help="denominator key (with --ratio)")
+    ap.add_argument("--bar", type=float,
+                    help="minimum num/den ratio (with --ratio)")
+    ap.add_argument("--identity",
+                    help="key that must be true (with --ratio)")
     args = ap.parse_args()
 
+    if args.ratio:
+        if not (args.num and args.den and args.identity) or args.bar is None:
+            ap.error("--ratio requires --num, --den, --bar and --identity")
+        ratio_gate(args.ratio, args.num, args.den, args.bar, args.identity)
     if args.merge:
         if not args.runs:
             ap.error("--merge requires at least one RUN report")

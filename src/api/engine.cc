@@ -95,15 +95,12 @@ EngineConfig::resolve(const Network &net) const
             "EngineConfig: pipeline_depth must be >= 0, got " +
                 std::to_string(pipeline_depth));
     opts.num_threads = num_threads;
-    opts.store_outputs = store_outputs;
     opts.pipeline_depth = pipeline_depth;
     opts.suffix_batch = resolve_batch(batch);
-    // Validate the memory spec here so a typo throws at construction
-    // like every other field; the Engine re-resolves it for its own
-    // manager. Hibernation reconstructs session state from the
-    // compressed form, so it needs a codec that actually stores one.
-    const MemoryBudget mem = resolve_memory_spec(memory);
-    require(!mem.hibernate || opts.amc.quantize_storage,
+    // Hibernation reconstructs session state from the compressed
+    // form, so it needs a codec that actually stores one.
+    opts.memory = resolve_memory_spec(memory);
+    require(!opts.memory.hibernate || opts.amc.quantize_storage,
             "memory spec '" + memory +
                 "': hibernate=on requires a quantizing storage codec "
                 "(the dense precise activation of codec '" +
@@ -120,29 +117,26 @@ EngineConfig::resolve(const Network &net) const
 // Session
 
 Session::Session(Engine *engine, i64 index, std::string name,
-                 AmcPipeline *pipeline)
+                 std::unique_ptr<AmcPipeline> pipeline, ThreadPool *pool,
+                 SuffixBatcher *batcher)
     : engine_(engine),
       index_(index),
       name_(std::move(name)),
-      pipeline_(pipeline)
+      pipeline_(std::move(pipeline))
 {
+    pipeline_->set_observer(&timings_);
     // The session's submission strand: the scheduler serializes the
     // stateful front stages in submission order and delivers commits
     // in order; with a pool and depth > 1 it overlaps each frame's
     // CNN suffix with the next frames' front stages. Without a pool
-    // every frame is processed inline during submit(), exactly the
-    // legacy serial-engine behavior.
+    // every frame is processed inline during submit(). With
+    // batch=auto the suffix stage becomes enqueue-to-batcher: this
+    // session's suffixes execute batched with every other session's.
     StageSchedulerOptions opts;
-    opts.depth = std::max<i64>(1, engine_->config_.pipeline_depth);
-    opts.store_outputs = engine_->store_outputs_;
-    // With batch=auto the suffix stage becomes enqueue-to-batcher:
-    // this session's suffixes execute batched with every other
-    // session's. Sessions are created under the engine mutex, which
-    // serializes the batcher's lazy creation.
-    opts.batcher = engine_->executor_->suffix_batcher();
+    opts.depth = std::max<i64>(1, engine_->resolved_.pipeline_depth);
+    opts.batcher = batcher;
     scheduler_ = std::make_unique<StageScheduler>(
-        *pipeline_, engine_->executor_->pool(), opts,
-        [this](FrameCommit commit) {
+        *pipeline_, pool, opts, [this](FrameCommit commit) {
             record_commit(std::move(commit));
         });
 }
@@ -157,6 +151,25 @@ Session::submit(Tensor frame)
     // accepted into a closing engine or carry a stale epoch into a
     // reset stream.
     MutexLock gate(submit_mutex_);
+    FrameTicket ticket = admit(frame);
+    // Enqueue outside the session mutex: without a pool the frame is
+    // processed inline here, and its commit takes the mutex.
+    ticket.frame = scheduler_->enqueue(std::move(frame));
+    return ticket;
+}
+
+FrameTicket
+Session::submit_ref(const Tensor &frame)
+{
+    MutexLock gate(submit_mutex_);
+    FrameTicket ticket = admit(frame);
+    ticket.frame = scheduler_->enqueue_ref(&frame);
+    return ticket;
+}
+
+FrameTicket
+Session::admit(const Tensor &frame)
+{
     engine_->ensure_open("Session::submit");
     require(frame.shape() == engine_->network().input_shape(),
             "session '" + name_ + "': frame shape " +
@@ -177,9 +190,6 @@ Session::submit(Tensor frame)
     // gate we hold is the same one the eviction loop try_locks, so
     // the plan cannot re-hibernate underneath the enqueue.
     hydrate_if_hibernated();
-    // Enqueue outside the session mutex: without a pool the frame is
-    // processed inline here, and its commit takes the mutex.
-    ticket.frame = scheduler_->enqueue(std::move(frame));
     return ticket;
 }
 
@@ -262,9 +272,6 @@ Session::record_commit(FrameCommit commit)
                 ++key_frames_;
             }
             me_add_ops_ += outcome.me_add_ops;
-            if (engine_->store_outputs_) {
-                outputs_.push_back(std::move(commit.output));
-            }
         }
         done_.push_back(outcome);
         last_done_ = std::chrono::steady_clock::now();
@@ -360,13 +367,6 @@ Session::completed() const
     return done_base_ + static_cast<i64>(done_.size());
 }
 
-std::vector<Tensor>
-Session::outputs() const
-{
-    MutexLock lock(mutex_);
-    return outputs_;
-}
-
 StreamReport
 Session::report()
 {
@@ -389,7 +389,6 @@ Session::forget_outcomes()
     MutexLock lock(mutex_);
     done_base_ += static_cast<i64>(done_.size());
     done_.clear();
-    outputs_.clear();
     // Forgotten tickets are rejected before lookup, so their
     // diagnostics can go too; error_ stays sticky for drain().
     frame_errors_.clear();
@@ -399,20 +398,22 @@ Session::forget_outcomes()
 }
 
 void
-Session::reset_record()
+Session::reset_stream()
 {
     // Hold the submit gate across the whole reset: a submit that
     // already passed the gate finishes its enqueue before we check
     // the drained invariant; one that arrives later observes the new
-    // epoch and the restarted frame numbering together.
+    // epoch, the restarted frame numbering and the fresh AMC state
+    // together. The gate also keeps the eviction loop off the plan.
     MutexLock gate(submit_mutex_);
     // Restart the strand's frame numbering (asserts it is drained).
     scheduler_->reset_counters();
+    pipeline_->reset();
+    timings_.reset();
     MutexLock lock(mutex_);
     ++epoch_; // Pre-reset tickets must not match the new stream.
     done_base_ = 0;
     done_.clear();
-    outputs_.clear();
     error_ = nullptr;
     frame_errors_.clear();
     digest_ = kDigestSeed;
@@ -445,14 +446,16 @@ Session::time_bounds(std::chrono::steady_clock::time_point *first,
 Engine::Engine(const Network &net, EngineConfig config)
     : net_(&net),
       config_(std::move(config)),
-      store_outputs_(config_.store_outputs),
-      executor_(std::make_unique<StreamExecutor>(
-          net, config_.resolve(net))),
-      memory_budget_(resolve_memory_spec(config_.memory))
+      resolved_(config_.resolve(net)),
+      num_threads_(resolved_.num_threads > 0
+                       ? resolved_.num_threads
+                       : ThreadPool::default_num_threads())
 {
-    if (memory_budget_.enabled) {
-        resident_ =
-            std::make_unique<ResidentSetManager>(memory_budget_);
+    if (resolved_.memory.enabled) {
+        resident_ = std::make_unique<ResidentSetManager>(resolved_.memory);
+    }
+    if (num_threads_ > 1) {
+        pool_ = std::make_unique<ThreadPool>(num_threads_);
     }
 }
 
@@ -482,6 +485,18 @@ Engine::ensure_open(const char *what) const
     }
 }
 
+std::vector<Session *>
+Engine::snapshot_sessions() const
+{
+    MutexLock lock(mutex_);
+    std::vector<Session *> sessions;
+    sessions.reserve(sessions_.size());
+    for (const auto &s : sessions_) {
+        sessions.push_back(s.get());
+    }
+    return sessions;
+}
+
 void
 Engine::close()
 {
@@ -495,33 +510,57 @@ Engine::close()
     // enqueued, so acquiring every gate here means the flush below
     // sees every racing frame, and any submit arriving afterwards
     // observes closed_ under the gate and throws.
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
-    for (Session *s : sessions) {
+    for (Session *s : snapshot_sessions()) {
         MutexLock gate(s->submit_mutex_);
     }
     flush();
 }
 
-AmcPipeline &
-Engine::pipeline_locked(i64 index)
+SuffixBatcher *
+Engine::suffix_batcher_locked(const ExecutionPlan &suffix)
 {
-    AmcPipeline &p = executor_->pipeline(index);
-    while (static_cast<i64>(timings_.size()) <=
-           executor_->num_pipelines() - 1) {
-        const i64 i = static_cast<i64>(timings_.size());
-        timings_.push_back(std::make_unique<StageTimings>());
-        if (config_.collect_timings) {
-            executor_->pipeline(i).set_observer(timings_.back().get());
-        }
+    if (!resolved_.suffix_batch.enabled) {
+        return nullptr;
     }
-    return p;
+    if (!batcher_) {
+        batched_suffix_ = std::make_unique<BatchedExecutionPlan>(
+            suffix, resolved_.suffix_batch.max_batch);
+        batcher_ = std::make_unique<SuffixBatcher>(
+            *batched_suffix_, pool_.get(), resolved_.suffix_batch);
+    }
+    return batcher_.get();
+}
+
+SuffixBatchStats
+Engine::suffix_batch_stats() const
+{
+    MutexLock lock(mutex_);
+    return batcher_ ? batcher_->stats() : SuffixBatchStats{};
+}
+
+StageTimings
+Engine::merged_timings() const
+{
+    MutexLock lock(mutex_);
+    StageTimings merged;
+    for (const auto &s : sessions_) {
+        merged.merge(s->timings_);
+    }
+    return merged;
+}
+
+Session &
+Engine::create_session_locked(const std::string &name)
+{
+    ensure_open("Engine::session");
+    const i64 index = static_cast<i64>(sessions_.size());
+    auto pipeline = std::make_unique<AmcPipeline>(
+        *net_, resolved_.make_policy(index), resolved_.amc);
+    SuffixBatcher *batcher = suffix_batcher_locked(pipeline->suffix_plan());
+    sessions_.push_back(std::unique_ptr<Session>(new Session(
+        this, index, name, std::move(pipeline), pool_.get(), batcher)));
+    session_index_[name] = index;
+    return *sessions_.back();
 }
 
 Session &
@@ -535,13 +574,7 @@ Engine::session(const std::string &name)
         // submission are rejected.
         return *sessions_[static_cast<size_t>(it->second)];
     }
-    ensure_open("Engine::session");
-    const i64 index = static_cast<i64>(sessions_.size());
-    AmcPipeline &pipeline = pipeline_locked(index);
-    sessions_.push_back(std::unique_ptr<Session>(
-        new Session(this, index, name, &pipeline)));
-    session_index_[name] = index;
-    return *sessions_.back();
+    return create_session_locked(name);
 }
 
 Session *
@@ -585,7 +618,7 @@ Engine::note_commit_resident(i64 index, i64 bytes)
         return;
     }
     resident_->note_resident(index, bytes);
-    if (memory_budget_.hibernate && resident_->over_budget()) {
+    if (resolved_.memory.hibernate && resident_->over_budget()) {
         evict_to_budget(index);
     }
 }
@@ -651,13 +684,14 @@ Engine::base_report()
         report.memory = resident_->stats();
     }
     report.simd_isa = simd_supported() ? simd_isa_name() : "scalar";
-    report.num_threads = executor_->num_threads();
+    report.num_threads = num_threads_;
     report.pipeline_depth = config_.pipeline_depth;
-    report.batching = executor_->suffix_batch_stats();
-    // Per-layer kernel selection: all pipelines share one network and
-    // one config, so stream 0's compiled plans describe every stream.
-    if (executor_->num_pipelines() > 0) {
-        report.plan = executor_->pipeline(0).plan_records();
+    report.batching = suffix_batch_stats();
+    // Per-layer kernel selection: all sessions share one network and
+    // one config, so session 0's compiled plans describe every stream.
+    MutexLock lock(mutex_);
+    if (!sessions_.empty()) {
+        report.plan = sessions_.front()->pipeline_->plan_records();
     }
     return report;
 }
@@ -667,62 +701,88 @@ Engine::run(const std::vector<Sequence> &streams)
 {
     ensure_open("Engine::run");
     flush();
-    // The batch path drives pipelines directly, below the session
-    // layer that hydrates on submit — wake any hibernated session
-    // first so the executor never runs a front on compressed state.
-    if (resident_) {
-        std::vector<Session *> sessions;
-        {
-            MutexLock lock(mutex_);
-            sessions.reserve(sessions_.size());
-            for (const auto &s : sessions_) {
-                sessions.push_back(s.get());
+    std::vector<Session *> targets;
+    {
+        MutexLock lock(mutex_);
+        for (size_t i = 0; i < streams.size(); ++i) {
+            if (i < sessions_.size()) {
+                targets.push_back(sessions_[i].get());
+                continue;
             }
+            const std::string &name = streams[i].name;
+            const auto taken = session_index_.find(name);
+            if (taken != session_index_.end()) {
+                throw ConfigError(
+                    "Engine::run: stream " + std::to_string(i) +
+                    " needs a new session named '" + name +
+                    "', but that name belongs to session " +
+                    std::to_string(taken->second));
+            }
+            targets.push_back(&create_session_locked(name));
         }
-        for (Session *s : sessions) {
-            MutexLock gate(s->submit_mutex_);
-            s->hydrate_if_hibernated();
-        }
-    }
-    MutexLock lock(mutex_);
-    for (i64 i = 0; i < static_cast<i64>(streams.size()); ++i) {
-        pipeline_locked(i);
     }
     // Snapshot the (lifetime-cumulative) timing and batching sinks so
     // the report's stage rows and occupancy cover exactly this run,
     // like its frames and wall_ms.
-    StageTimings before;
-    for (const auto &t : timings_) {
-        before.merge(*t);
+    const StageTimings timings_before = merged_timings();
+    const SuffixBatchStats batch_before = suffix_batch_stats();
+
+    std::vector<std::vector<FrameTicket>> tickets(streams.size());
+    std::exception_ptr error;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        for (size_t i = 0; i < streams.size(); ++i) {
+            tickets[i].reserve(streams[i].frames.size());
+            for (const LabeledFrame &frame : streams[i].frames) {
+                tickets[i].push_back(targets[i]->submit_ref(frame.image));
+            }
+        }
+    } catch (...) {
+        error = std::current_exception();
     }
-    const SuffixBatchStats batch_before =
-        executor_->suffix_batch_stats();
-    const BatchResult batch = executor_->run(streams);
+    // Every enqueued frame borrows the caller's tensors, so all of
+    // them drain before any error escapes.
+    for (Session *s : targets) {
+        try {
+            s->drain();
+        } catch (...) {
+            if (!error) {
+                error = std::current_exception();
+            }
+        }
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    if (error) {
+        std::rethrow_exception(error);
+    }
 
     RunReport report = base_report();
-    report.batching =
-        executor_->suffix_batch_stats().delta_from(batch_before);
-    report.wall_ms = batch.wall_ms;
-    report.digest = batch.digest();
-    for (const StreamResult &s : batch.streams) {
+    report.wall_ms =
+        std::chrono::duration<double, std::milli>(stop - start).count();
+    report.digest = kDigestSeed;
+    for (size_t i = 0; i < streams.size(); ++i) {
+        Session &s = *targets[i];
         StreamReport row;
-        row.name = s.name;
-        row.stream_index = s.stream_index;
-        row.frames = s.stats.frames;
-        row.key_frames = s.stats.key_frames;
-        row.me_add_ops = s.me_add_ops;
-        row.digest = s.digest;
+        row.name = s.name();
+        row.stream_index = s.index();
+        row.digest = kDigestSeed;
+        for (const FrameTicket &ticket : tickets[i]) {
+            // Drained without error: every outcome is in and good.
+            const FrameOutcome outcome = *s.poll(ticket);
+            ++row.frames;
+            row.key_frames += outcome.is_key ? 1 : 0;
+            row.me_add_ops += outcome.me_add_ops;
+            row.digest = digest_combine(row.digest, outcome.output_digest);
+        }
         report.frames += row.frames;
         report.key_frames += row.key_frames;
         report.me_add_ops += row.me_add_ops;
+        report.digest = digest_combine(report.digest, row.digest);
         report.streams.push_back(std::move(row));
     }
-    StageTimings merged;
-    for (const auto &t : timings_) {
-        merged.merge(*t);
-    }
-    report.stages =
-        stage_reports(merged.delta_from(before), report.wall_ms);
+    report.batching = suffix_batch_stats().delta_from(batch_before);
+    report.stages = stage_reports(
+        merged_timings().delta_from(timings_before), report.wall_ms);
     return report;
 }
 
@@ -736,22 +796,13 @@ Engine::report()
     // evict_to_budget, which takes mutex_ — so a drain under mutex_
     // deadlocks (the commit blocked on mutex_ can never raise the
     // committed count the drain is waiting for). The flush() above
-    // already quiesced every session, so the rows are stable; the
-    // snapshot matches flush()'s own pattern.
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    // already quiesced every session, so the rows are stable.
     RunReport report = base_report();
     report.digest = kDigestSeed;
     bool any_time = false;
     std::chrono::steady_clock::time_point first{};
     std::chrono::steady_clock::time_point last{};
-    for (Session *session : sessions) {
+    for (Session *session : snapshot_sessions()) {
         StreamReport row = session->report();
         report.frames += row.frames;
         report.key_frames += row.key_frames;
@@ -775,34 +826,19 @@ Engine::report()
             std::chrono::duration<double, std::milli>(last - first)
                 .count();
     }
-    StageTimings merged;
-    {
-        MutexLock lock(mutex_);
-        for (const auto &t : timings_) {
-            merged.merge(*t);
-        }
-    }
-    report.stages = stage_reports(merged, report.wall_ms);
+    report.stages = stage_reports(merged_timings(), report.wall_ms);
     return report;
 }
 
 void
 Engine::flush()
 {
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
     // Drain without holding the engine mutex: strand tasks only take
     // their session's mutex, so new sessions can still be created
     // while we wait. Surface the first stream failure after every
     // session has drained.
     std::exception_ptr error;
-    for (Session *s : sessions) {
+    for (Session *s : snapshot_sessions()) {
         try {
             s->drain();
         } catch (...) {
@@ -819,24 +855,17 @@ Engine::flush()
 void
 Engine::reset()
 {
-    // Snapshot the session list, then drain and reset the per-session
-    // records WITHOUT holding mutex_. Two deadlocks hide in the
-    // holding-mutex_ shape this replaced: (a) a commit still in
-    // flight re-enters the engine via note_commit_resident →
+    // Work from a snapshot of the session list, draining and
+    // resetting each session WITHOUT holding mutex_. Two deadlocks
+    // hide in the holding-mutex_ shape this replaced: (a) a commit
+    // still in flight re-enters the engine via note_commit_resident →
     // evict_to_budget, which takes mutex_, so a drain under mutex_
-    // waits on a commit that waits on us; (b) reset_record() acquires
+    // waits on a commit that waits on us; (b) reset_stream() acquires
     // the session's submit gate, and an inline submit holds that gate
     // while its commit's eviction pass takes mutex_ — acquiring the
     // gate under mutex_ is that same pair in the opposite order. See
     // docs/static_analysis.md (lock ordering).
-    std::vector<Session *> sessions;
-    {
-        MutexLock lock(mutex_);
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_) {
-            sessions.push_back(s.get());
-        }
-    }
+    const std::vector<Session *> sessions = snapshot_sessions();
     // Drain but swallow stream failures: reset discards the very
     // state (records, sticky errors) a failure poisoned.
     for (Session *s : sessions) {
@@ -845,21 +874,13 @@ Engine::reset()
         } catch (...) {
         }
     }
-    {
-        MutexLock lock(mutex_);
-        executor_->reset_streams();
-        for (const auto &t : timings_) {
-            t->reset();
-        }
-    }
     for (Session *s : sessions) {
-        s->reset_record();
+        s->reset_stream();
     }
     // Stream state is gone (FramePlan::reset released it), so the
     // resident accounting restarts from zero too.
-    if (memory_budget_.enabled) {
-        resident_ =
-            std::make_unique<ResidentSetManager>(memory_budget_);
+    if (resolved_.memory.enabled) {
+        resident_ = std::make_unique<ResidentSetManager>(resolved_.memory);
     }
 }
 

@@ -9,18 +9,23 @@
  * codecs without touching C++ types — and it offers two ingestion
  * paths over the same per-stream AMC state:
  *
- *  - the batch path, `run(streams)`: process whole Sequence chunks
- *    across all streams (the legacy StreamExecutor shape), and
  *  - the frame path, `Session::submit(frame) -> FrameTicket` plus
  *    `poll()`/`wait()`: feed one frame of one live feed at a time,
- *    the way frames actually arrive from cameras.
+ *    the way frames actually arrive from cameras, and
+ *  - the batch path, `run(streams)`: submit whole Sequence chunks to
+ *    sessions 0..N-1 and drain them.
  *
- * Both paths drive the same internal execution layer (one AmcPipeline
- * per stream behind a StreamExecutor), so a stream fed frame-by-frame
- * produces output digests bit-identical to the same frames fed as one
- * batch. Results come back as a structured RunReport — per-stream
- * stats, chained digests, RFBME op counts, per-stage timings from the
- * instrumentation hook layer — with JSON serialization.
+ * There is one path from frame to outcome: each Session owns its
+ * stream's AmcPipeline and drives it through its StageScheduler, and
+ * run() is only submit-and-drain over sessions. A stream fed
+ * frame-by-frame therefore produces output digests bit-identical to
+ * the same frames fed as one batch by construction, and run()'s
+ * frames appear in report() and count against the memory budget like
+ * any other. The serial oracle is an engine with num_threads = 1,
+ * pipeline_depth = 1 and batch = "off". Results come back as a
+ * structured RunReport — per-stream stats, chained digests, RFBME op
+ * counts, per-stage timings from the instrumentation hook layer —
+ * with JSON serialization.
  *
  * Threading model: sessions are independent strands. submit() may be
  * called from any thread; frames of one session are processed
@@ -128,14 +133,10 @@ struct EngineConfig
      * legacy shape). Output digests are bit-identical either way.
      */
     i64 pipeline_depth = 3;
-    /** Retain every output tensor (tests; memory-heavy). */
-    bool store_outputs = false;
-    /** Feed the per-stage instrumentation layer (cheap; default on). */
-    bool collect_timings = true;
 
     /**
-     * Resolve every spec against the registries and the network into
-     * executor options; throws ConfigError on any invalid field.
+     * Resolve every spec against the registries and the network;
+     * throws ConfigError on any invalid field.
      */
     StreamExecutorOptions resolve(const Network &net) const;
 
@@ -213,9 +214,8 @@ class Session
      *
      * Failure semantics: submit() validates frame shape eagerly, so
      * a frame can only fail on an internal error. A failed frame
-     * poisons the session — it contributes nothing to the digest,
-     * stats, or outputs() (which stay aligned with the *successful*
-     * outcomes), and the stored error is sticky: wait() on the
+     * poisons the session — it contributes nothing to the digest or
+     * stats, and the stored error is sticky: wait() on the
      * failed ticket, drain(), and engine report()/flush() all keep
      * rethrowing it until Engine::reset() discards the stream.
      *
@@ -263,12 +263,12 @@ class Session
     void set_outcome_sink(OutcomeSink sink);
 
     /**
-     * Drop the per-frame outcome records (and retained outputs)
-     * accumulated so far, keeping the cumulative stats and digest
-     * chain intact. Long-lived serving loops call this periodically
-     * to bound memory — outcomes otherwise accumulate for every
-     * frame ever submitted. Drains first; poll()/wait() on a
-     * forgotten ticket throws ConfigError.
+     * Drop the per-frame outcome records accumulated so far, keeping
+     * the cumulative stats and digest chain intact. Long-lived
+     * serving loops call this periodically to bound memory —
+     * outcomes otherwise accumulate for every frame ever submitted.
+     * Drains first; poll()/wait() on a forgotten ticket throws
+     * ConfigError.
      */
     void forget_outcomes();
 
@@ -279,20 +279,29 @@ class Session
      */
     StreamReport report();
 
-    /**
-     * Snapshot of the retained output tensors in submission order;
-     * only meaningful with EngineConfig::store_outputs, after
-     * drain(). Returned by value: the record is guarded and may be
-     * trimmed (forget_outcomes) or reset concurrently, so a reference
-     * into it could not be made safe.
-     */
-    std::vector<Tensor> outputs() const;
-
   private:
     friend class Engine;
 
+    /**
+     * @param pipeline The stream's AMC state, owned from here on.
+     * @param pool     The engine's worker pool (null: inline).
+     * @param batcher  The engine's suffix batcher (null: off).
+     */
     Session(Engine *engine, i64 index, std::string name,
-            AmcPipeline *pipeline);
+            std::unique_ptr<AmcPipeline> pipeline, ThreadPool *pool,
+            SuffixBatcher *batcher);
+
+    /**
+     * Enqueue a borrowed frame: `frame` must outlive its commit.
+     * Engine::run's allocation-free form of submit().
+     */
+    FrameTicket submit_ref(const Tensor &frame);
+
+    /**
+     * Everything submit() does before the enqueue: the closed and
+     * shape checks, the ticket's epoch, and rehydration.
+     */
+    FrameTicket admit(const Tensor &frame) REQUIRES(submit_mutex_);
 
     /** Commit sink: record one pipelined frame (in frame order). */
     void record_commit(FrameCommit commit);
@@ -309,8 +318,11 @@ class Session
     void check_ticket(const FrameTicket &ticket) const
         REQUIRES(mutex_);
 
-    /** Drop cumulative records for an engine-level reset. */
-    void reset_record();
+    /**
+     * Engine-level reset: drop the stream's AMC state, stage timings
+     * and cumulative records. Requires a drained session.
+     */
+    void reset_stream();
 
     /** First-submit/last-done bounds, if any work was recorded. */
     bool time_bounds(std::chrono::steady_clock::time_point *first,
@@ -319,7 +331,14 @@ class Session
     Engine *engine_;
     i64 index_;
     std::string name_;
-    AmcPipeline *pipeline_;
+    /**
+     * This stream's per-stage timing sink, installed as the
+     * pipeline's observer; declared first so it outlives the
+     * pipeline. Internally synchronized.
+     */
+    StageTimings timings_;
+    /** This stream's AMC state: key frame, RLE buffer, policy. */
+    std::unique_ptr<AmcPipeline> pipeline_;
 
     /**
      * Serializes submit() against Engine::close()/reset(): a submit
@@ -340,7 +359,6 @@ class Session
     /** Frame number of done_[0] (after trims). */
     i64 done_base_ GUARDED_BY(mutex_) = 0;
     std::vector<FrameOutcome> done_ GUARDED_BY(mutex_);
-    std::vector<Tensor> outputs_ GUARDED_BY(mutex_);
     /** First failure (drain rethrows it). */
     std::exception_ptr error_ GUARDED_BY(mutex_);
     /** Every failed frame's own diagnostic, by frame number. */
@@ -348,7 +366,7 @@ class Session
     /** Per-commit push hook (may be null). */
     OutcomeSink outcome_sink_ GUARDED_BY(mutex_);
 
-    // Cumulative stream accounting (mirrors StreamResult).
+    // Cumulative stream accounting (the StreamReport row).
     u64 digest_ GUARDED_BY(mutex_) = kDigestSeed;
     i64 frames_ GUARDED_BY(mutex_) = 0;
     i64 key_frames_ GUARDED_BY(mutex_) = 0;
@@ -410,17 +428,22 @@ class Engine
     i64 in_flight() const;
 
     /**
-     * Batch path: process sequence i on stream i's pipeline, exactly
-     * like the legacy StreamExecutor::run. Drains all sessions first.
-     * Stream state persists across calls, so successive chunks of the
-     * same feeds continue their AMC state.
+     * Batch path: submit sequence i's frames to the session at index
+     * i (created under streams[i].name when missing; a name already
+     * taken by another index throws ConfigError), then drain. Frames
+     * are borrowed, not copied. Drains all sessions first. Stream
+     * state persists across calls, so successive chunks of the same
+     * feeds continue their AMC state. The report covers exactly the
+     * frames this call submitted; if a submit throws partway, every
+     * frame already enqueued is drained before the error propagates.
      */
     RunReport run(const std::vector<Sequence> &streams);
 
     /**
-     * Aggregate report over everything the *sessions* have processed
-     * so far (drains first). Per-stream digests chain in session
-     * index order, matching a batch run over the same frames.
+     * Aggregate report over everything the sessions have processed
+     * so far, run() frames included (drains first). Per-stream
+     * digests chain in session index order, matching a batch run
+     * over the same frames.
      */
     RunReport report();
 
@@ -472,17 +495,35 @@ class Engine
      */
     bool memory_pressure() const;
 
-    /** Effective stream-level worker count. */
-    i64 num_threads() const { return executor_->num_threads(); }
+    /** Effective worker count (1 = every stage runs inline). */
+    i64 num_threads() const { return num_threads_; }
 
   private:
     friend class Session;
 
+    /** Create session `name` at the next free index. */
+    Session &create_session_locked(const std::string &name)
+        REQUIRES(mutex_);
+
     /**
-     * The pipeline backing stream `index`, with its instrumentation
-     * observer installed; creates on demand.
+     * The shared suffix batcher, built on first use from `suffix`
+     * (every session shares one network and config, so any session's
+     * compiled suffix describes them all); null with batch=off.
      */
-    AmcPipeline &pipeline_locked(i64 index) REQUIRES(mutex_);
+    SuffixBatcher *suffix_batcher_locked(const ExecutionPlan &suffix)
+        REQUIRES(mutex_);
+
+    /** Batch occupancy counters; empty stats when batching is off. */
+    SuffixBatchStats suffix_batch_stats() const EXCLUDES(mutex_);
+
+    /** Every session's stage timings, merged. */
+    StageTimings merged_timings() const EXCLUDES(mutex_);
+
+    /**
+     * The sessions in index order. Callers drain or lock sessions
+     * through this snapshot, never under mutex_.
+     */
+    std::vector<Session *> snapshot_sessions() const EXCLUDES(mutex_);
 
     /** Throw a descriptive ConfigError when the engine is closed. */
     void ensure_open(const char *what) const;
@@ -502,23 +543,36 @@ class Engine
 
     const Network *net_;
     EngineConfig config_;
-    bool store_outputs_;
+    /** config_ resolved once; memory disabled ⇒ resident_ is null. */
+    StreamExecutorOptions resolved_;
+    i64 num_threads_;
     std::atomic<bool> closed_{false};
-    std::unique_ptr<StreamExecutor> executor_;
-    /** Resolved memory= spec; disabled ⇒ resident_ is null. */
-    MemoryBudget memory_budget_;
     std::unique_ptr<ResidentSetManager> resident_;
 
     /**
-     * Guards the session/timing tables. Lock ordering (see
+     * Guards the session table and the batcher. Lock ordering (see
      * docs/static_analysis.md): a submit gate may be held when a
      * commit takes mutex_ (inline engines), so mutex_ must never be
      * held while acquiring a gate or draining a session — that is the
      * deadlock report()/reset() used to have.
      */
     mutable Mutex mutex_;
-    std::vector<std::unique_ptr<StageTimings>> timings_
+    /** Worker pool; null when num_threads_ == 1. */
+    std::unique_ptr<ThreadPool> pool_;
+    /**
+     * Suffix-batching machinery, built by the first session when
+     * batch=auto. Declared after pool_ so the batcher (whose
+     * destructor waits out in-flight batches) dies before the pool
+     * its batches run on.
+     */
+    std::unique_ptr<BatchedExecutionPlan> batched_suffix_
         GUARDED_BY(mutex_);
+    std::unique_ptr<SuffixBatcher> batcher_ GUARDED_BY(mutex_);
+    /**
+     * Declared after the pool and the batcher: every session's
+     * scheduler borrows both, and its destructor (a drain) must run
+     * while they are still alive.
+     */
     std::vector<std::unique_ptr<Session>> sessions_
         GUARDED_BY(mutex_);
     std::map<std::string, i64> session_index_ GUARDED_BY(mutex_);

@@ -178,14 +178,10 @@ StageScheduler::finish_frame(i64 index, const Tensor *out,
         commit.match_error = ctx.match_error;
         commit.me_add_ops = ctx.me_add_ops;
         commit.resident_bytes = ctx.resident_bytes;
-        if (opts_.store_outputs) {
-            commit.output = *out;
-        }
     }
     {
         MutexLock lock(mutex_);
         // The map is keyed by frame index; commits flush in order.
-        // emplace-by-move keeps the (possibly stored) output tensor.
         ready_.emplace(index, std::move(commit));
         if (flushing_) {
             return;

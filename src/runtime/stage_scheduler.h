@@ -44,10 +44,9 @@ namespace eva2 {
 /**
  * The completed record of one pipelined frame, delivered to the
  * commit sink in frame order. Mirrors what the serial path's
- * AmcFrameResult carries, minus the tensors (the output digest and
+ * AmcFrameResult carries, minus the tensors: the output digest and
  * top-1 are computed in place on the suffix worker, so a steady-state
- * predicted frame allocates nothing); `output` is populated only when
- * the scheduler was configured to store outputs.
+ * predicted frame allocates nothing.
  */
 struct FrameCommit
 {
@@ -60,7 +59,6 @@ struct FrameCommit
     /** Stream state bytes after this frame's front half (for the
      * Engine's resident-set accounting; 0 on error frames). */
     i64 resident_bytes = 0;
-    Tensor output;          ///< Only with store_outputs.
     std::exception_ptr error; ///< Set when a stage threw.
 };
 
@@ -74,8 +72,6 @@ struct StageSchedulerOptions
      * hide the larger of the two halves.
      */
     i64 depth = 3;
-    /** Copy every output tensor into its FrameCommit. */
-    bool store_outputs = false;
     /**
      * Cross-stream suffix batcher shared with other streams'
      * schedulers, or null to run each suffix as its own task. When

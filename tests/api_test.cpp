@@ -2,14 +2,15 @@
  * @file
  * Tests for the eva2::Engine serving API: spec parsing and the
  * string-keyed registries, EngineConfig validation, batch runs
- * matching the legacy StreamExecutor bit-for-bit, frame-level Session
+ * matching the serial oracle bit-for-bit, frame-level Session
  * submission (including incremental feeding split across bursts and
  * concurrent multi-threaded submission), and RunReport structure/JSON.
  *
  * The digest-identity tests are the API's core contract: no matter
  * how frames reach the engine — one batch, several chunked batches,
  * or frame-by-frame session submission from several threads — the
- * outputs must be bit-identical to a serial legacy run.
+ * outputs must be bit-identical to the serial oracle (one thread,
+ * depth 1, batch off).
  */
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "api/registry.h"
 #include "api/run_report.h"
 #include "cnn/model_zoo.h"
-#include "runtime/stream_executor.h"
 #include "util/json.h"
 #include "video/scenarios.h"
 
@@ -262,31 +262,29 @@ struct EngineFixture
         return c;
     }
 
-    StreamExecutorOptions
-    legacy_options() const
+    /** The serial oracle: one thread, depth 1, batch off. */
+    EngineConfig
+    oracle_config() const
     {
-        StreamExecutorOptions opts;
-        opts.num_threads = 1;
-        opts.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(2);
-        };
-        return opts;
+        EngineConfig c = config(1);
+        c.pipeline_depth = 1;
+        return c;
     }
 
     u64
-    legacy_digest()
+    oracle_digest()
     {
-        StreamExecutor serial(net, legacy_options());
-        return serial.run(streams).digest();
+        Engine serial(net, oracle_config());
+        return serial.run(streams).digest;
     }
 };
 
-TEST(Engine, BatchRunMatchesLegacyExecutorBitForBit)
+TEST(Engine, BatchRunMatchesSerialOracleBitForBit)
 {
     EngineFixture fx;
     Engine engine(fx.net, fx.config(4));
     const RunReport report = engine.run(fx.streams);
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.oracle_digest());
     EXPECT_EQ(report.frames, 3 * 4);
     ASSERT_EQ(report.streams.size(), 3u);
     for (const StreamReport &s : report.streams) {
@@ -306,7 +304,7 @@ TEST(Engine, SessionSubmissionMatchesBatchBitForBit)
         engine.session(seq.name).submit_all(seq);
     }
     const RunReport report = engine.report();
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.oracle_digest());
     EXPECT_EQ(report.frames, 3 * 4);
     ASSERT_EQ(report.streams.size(), 3u);
     EXPECT_EQ(report.streams[0].name, fx.streams[0].name);
@@ -333,10 +331,10 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
     // session state (stored key frame, RLE buffer, policy state)
     // persists across the split.
     EngineFixture fx;
-    const u64 expected = fx.legacy_digest();
+    const u64 expected = fx.oracle_digest();
 
     // Two engine.run() calls over chunked sequences: per-chunk
-    // digests must match a legacy executor fed the same chunks, and
+    // digests must match the serial oracle fed the same chunks, and
     // stream state must persist across the boundary (each run()
     // restarts the digest chain, so chunks compare chunk-to-chunk).
     {
@@ -354,9 +352,9 @@ TEST(Engine, IncrementalFeedingIsBitIdenticalToOneBatch)
         Engine engine(fx.net, fx.config(2));
         const RunReport r1 = engine.run(first);
         const RunReport r2 = engine.run(second);
-        StreamExecutor legacy(fx.net, fx.legacy_options());
-        EXPECT_EQ(r1.digest, legacy.run(first).digest());
-        EXPECT_EQ(r2.digest, legacy.run(second).digest());
+        Engine oracle(fx.net, fx.oracle_config());
+        EXPECT_EQ(r1.digest, oracle.run(first).digest);
+        EXPECT_EQ(r2.digest, oracle.run(second).digest);
         EXPECT_EQ(r1.frames + r2.frames, 3 * 4);
     }
 
@@ -395,7 +393,7 @@ TEST(Engine, PerFrameOutcomesMatchBatchRecords)
     Engine batch_engine(fx.net, fx.config(1));
     const RunReport batch = batch_engine.run(fx.streams);
     // ...frame-level on another; every outcome must agree with the
-    // batch FrameRecord-equivalents.
+    // batch run's per-stream rows.
     Engine engine(fx.net, fx.config(2));
     Session &cam = engine.session(fx.streams[0].name);
     const std::vector<FrameTicket> tickets =
@@ -437,7 +435,7 @@ TEST(Engine, ConcurrentSubmissionFromManyThreads)
     const RunReport report = engine.report();
     EXPECT_EQ(submitted.load(), 3 * 4);
     EXPECT_EQ(report.frames, 3 * 4);
-    EXPECT_EQ(report.digest, fx.legacy_digest());
+    EXPECT_EQ(report.digest, fx.oracle_digest());
 }
 
 TEST(Engine, ResetReproducesFirstRun)
@@ -451,6 +449,18 @@ TEST(Engine, ResetReproducesFirstRun)
     engine.reset();
     const RunReport again = engine.run(fx.streams);
     EXPECT_EQ(again.digest, first.digest);
+}
+
+TEST(Engine, RunRejectsSessionNameTakenByAnotherIndex)
+{
+    // run() maps stream i to session i. Stream 1 needs a new session
+    // under a name session 0 already holds: that is refused before
+    // any frame is submitted.
+    EngineFixture fx;
+    Engine engine(fx.net, fx.config(1));
+    Session &taken = engine.session(fx.streams[1].name);
+    EXPECT_THROW(engine.run(fx.streams), ConfigError);
+    EXPECT_EQ(taken.submitted(), 0);
 }
 
 TEST(Engine, SubmitRejectsBadFrameShapeOnCallerThread)
@@ -503,9 +513,8 @@ TEST(Engine, ForgetOutcomesBoundsMemoryButKeepsTheChain)
     // ...and stats plus the digest chain survived the trim intact.
     cam.drain();
     EXPECT_EQ(cam.completed(), seq.size());
-    StreamExecutor legacy(fx.net, fx.legacy_options());
-    EXPECT_EQ(cam.report().digest,
-              legacy.run({seq}).streams[0].digest);
+    Engine oracle(fx.net, fx.oracle_config());
+    EXPECT_EQ(cam.report().digest, oracle.run({seq}).streams[0].digest);
 }
 
 TEST(ComponentSpec, RejectsNonFiniteNumbers)

@@ -8,10 +8,9 @@
  */
 #include <gtest/gtest.h>
 
-#include "api/registry.h"
+#include "api/engine.h"
 #include "cnn/model_zoo.h"
 #include "runtime/stage_scheduler.h"
-#include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
 #include "video/scenarios.h"
 
@@ -24,6 +23,15 @@ small_options()
     AmcOptions opts;
     opts.search_radius = 10;
     return opts;
+}
+
+/** Engine counterpart of small_options(): batch off, radius 10. */
+EngineConfig
+small_config()
+{
+    EngineConfig c;
+    c.search_radius = 10;
+    return c;
 }
 
 /** A small single-stream workload on the scaled AlexNet. */
@@ -143,40 +151,34 @@ TEST(FramePlanSweep, PipelinedDigestsMatchSerialEverywhere)
         "adaptive_error:th=0.05,max_gap=6",
         "adaptive_motion:th=60,max_gap=6",
     };
-    const std::vector<ConvKernel> kernels = {ConvKernel::kIm2colGemm,
-                                             ConvKernel::kDirect};
+    const std::vector<std::string> kernels = {"gemm", "direct"};
 
     for (const std::string &policy : policies) {
-        for (const ConvKernel kernel : kernels) {
-            auto options = [&](i64 depth, i64 threads) {
-                StreamExecutorOptions o;
-                o.num_threads = threads;
-                o.pipeline_depth = depth;
-                o.amc = small_options();
-                o.amc.plan.conv_kernel = kernel;
-                o.make_policy = [policy](i64) {
-                    return PolicyRegistry::instance().make(policy);
-                };
-                return o;
+        for (const std::string &kernel : kernels) {
+            auto config = [&](i64 depth, i64 threads) {
+                EngineConfig c = small_config();
+                c.num_threads = threads;
+                c.pipeline_depth = depth;
+                c.kernel = kernel;
+                c.policy = policy;
+                return c;
             };
-            StreamExecutor serial(net, options(1, 1));
-            StreamExecutor pipelined(net, options(3, 4));
-            const BatchResult a = serial.run(streams);
-            const BatchResult b = pipelined.run(streams);
+            Engine serial(net, config(1, 1));
+            Engine pipelined(net, config(3, 4));
+            const RunReport a = serial.run(streams);
+            const RunReport b = pipelined.run(streams);
             ASSERT_EQ(a.streams.size(), b.streams.size());
             for (size_t i = 0; i < a.streams.size(); ++i) {
                 EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel "
-                    << conv_kernel_name(kernel) << ", stream "
-                    << a.streams[i].name;
-                EXPECT_EQ(a.streams[i].stats.key_frames,
-                          b.streams[i].stats.key_frames);
+                    << "policy " << policy << ", kernel " << kernel
+                    << ", stream " << a.streams[i].name;
+                EXPECT_EQ(a.streams[i].key_frames,
+                          b.streams[i].key_frames);
                 EXPECT_EQ(a.streams[i].me_add_ops,
                           b.streams[i].me_add_ops);
             }
-            EXPECT_EQ(a.digest(), b.digest())
-                << "policy " << policy << ", kernel "
-                << conv_kernel_name(kernel);
+            EXPECT_EQ(a.digest, b.digest)
+                << "policy " << policy << ", kernel " << kernel;
         }
     }
 }
@@ -192,21 +194,17 @@ TEST(FramePlanSweep, MemoizationModeMatchesToo)
         classification_test_set(/*seed=*/11, /*num_sequences=*/2,
                                 /*frames_per_sequence=*/4,
                                 /*size=*/96);
-    auto options = [&](i64 depth, i64 threads) {
-        StreamExecutorOptions o;
-        o.num_threads = threads;
-        o.pipeline_depth = depth;
-        o.amc = small_options();
-        o.amc.motion_mode = MotionMode::kMemoization;
-        o.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(3);
-        };
-        return o;
+    auto config = [&](i64 depth, i64 threads) {
+        EngineConfig c = small_config();
+        c.num_threads = threads;
+        c.pipeline_depth = depth;
+        c.motion = "memoization";
+        c.policy = "static:interval=3";
+        return c;
     };
-    StreamExecutor serial(net, options(1, 1));
-    StreamExecutor pipelined(net, options(3, 4));
-    EXPECT_EQ(serial.run(streams).digest(),
-              pipelined.run(streams).digest());
+    Engine serial(net, config(1, 1));
+    Engine pipelined(net, config(3, 4));
+    EXPECT_EQ(serial.run(streams).digest, pipelined.run(streams).digest);
 }
 
 /**
@@ -223,27 +221,24 @@ TEST(FramePlanAllocation, SteadyStatePredictedFramesAllocateNothing)
     }());
     // A huge static interval: after the first key frame, everything
     // is a predicted frame.
-    StreamExecutorOptions opts;
-    opts.num_threads = 1; // Inline: the global counter stays ours.
-    opts.pipeline_depth = 3;
-    opts.amc = small_options();
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    StreamExecutor exec(net, opts);
+    EngineConfig config = small_config();
+    config.num_threads = 1; // Inline: the global counter stays ours.
+    config.pipeline_depth = 3;
+    config.policy = "static:interval=1000";
+    Engine engine(net, config);
 
     const std::vector<Sequence> warmup =
         multi_stream_set(/*seed=*/13, 1, 3, 96);
     const std::vector<Sequence> steady =
         multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup); // Key frame + slot/workspace growth.
+    engine.run(warmup); // Key frame + slot/workspace growth.
 
     const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
+    const RunReport report = engine.run(steady);
     const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
+    EXPECT_EQ(report.key_frames, 0)
         << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(batch.total_frames(), 6);
+    EXPECT_EQ(report.frames, 6);
     EXPECT_EQ(after - before, 0u)
         << "predicted frames allocated tensor buffers";
 }
@@ -260,26 +255,23 @@ TEST(FramePlanAllocation, SteadyStateMemoizedFramesAllocateNothing)
         o.input = Shape{1, 96, 96};
         return o;
     }());
-    StreamExecutorOptions opts;
-    opts.num_threads = 1;
-    opts.pipeline_depth = 3;
-    opts.amc = small_options();
-    opts.amc.motion_mode = MotionMode::kMemoization;
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    StreamExecutor exec(net, opts);
+    EngineConfig config = small_config();
+    config.num_threads = 1;
+    config.pipeline_depth = 3;
+    config.motion = "memoization";
+    config.policy = "static:interval=1000";
+    Engine engine(net, config);
 
     const std::vector<Sequence> warmup =
         multi_stream_set(/*seed=*/13, 1, 3, 96);
     const std::vector<Sequence> steady =
         multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup);
+    engine.run(warmup);
 
     const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
+    const RunReport report = engine.run(steady);
     const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
+    EXPECT_EQ(report.key_frames, 0)
         << "steady-state run unexpectedly re-keyed";
     EXPECT_EQ(after - before, 0u)
         << "memoized frames deep-copied the stored activation";

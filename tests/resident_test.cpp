@@ -386,9 +386,8 @@ TEST(ResidentTier, HibernateHydrateDigestIdentityAcrossConfigs)
 
 TEST(ResidentTier, BatchRunHydratesAndMatchesBudgetlessDigest)
 {
-    // Engine::run drives pipelines below the session layer, so it
-    // must hydrate hibernated sessions up front; a batch after a
-    // session-mode phase that hibernated everything still matches.
+    // Engine::run submits through the sessions, which hydrate on
+    // submit; a batch under a tight budget still matches.
     ResidentFixture fx;
     EngineConfig config = fx.config("budget_mb:1,hibernate=on");
 
@@ -397,6 +396,32 @@ TEST(ResidentTier, BatchRunHydratesAndMatchesBudgetlessDigest)
 
     Engine engine(fx.net, config);
     EXPECT_EQ(engine.run(fx.protos).digest, expected);
+}
+
+TEST(ResidentTier, RunFramesReachReportAndBudget)
+{
+    // run() is submit-and-drain over sessions: on a fresh engine its
+    // digest is report()'s, and its commits drive LRU hibernation
+    // exactly like frames submitted one at a time.
+    ResidentFixture fx;
+    const i64 per = fx.probe_session_bytes();
+    const i64 budget = 1LL * 1024 * 1024;
+    const i64 sessions = budget / per + 3;
+    std::vector<Sequence> streams;
+    for (i64 i = 0; i < sessions; ++i) {
+        Sequence seq = fx.protos[i % fx.protos.size()];
+        seq.name = "cam" + std::to_string(i);
+        streams.push_back(std::move(seq));
+    }
+
+    Engine engine(fx.net, fx.config("budget_mb:1,hibernate=on"));
+    const RunReport run = engine.run(streams);
+    EXPECT_EQ(run.frames, sessions * fx.protos[0].size());
+    const RunReport report = engine.report();
+    EXPECT_EQ(run.digest, report.digest);
+    EXPECT_EQ(report.frames, run.frames);
+    EXPECT_GT(engine.resident_manager()->stats().hibernations, 0);
+    EXPECT_LE(engine.resident_manager()->stats().resident_bytes, budget);
 }
 
 TEST(ResidentTier, ResetForgetsTrackedSessions)

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the parallel runtime: ThreadPool task completion and
  * exception propagation, ParallelFor edge cases and determinism, and
- * StreamExecutor serial-vs-parallel bit-identical outputs.
+ * Engine::run serial-vs-parallel bit-identical outputs.
  *
  * Pools are constructed with explicit thread counts so the parallel
  * code paths are exercised even on single-core CI machines.
@@ -14,7 +14,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "api/engine.h"
 #include "cnn/model_zoo.h"
+#include "eval/metrics.h"
 #include "runtime/parallel_for.h"
 #include "runtime/stream_executor.h"
 #include "runtime/thread_pool.h"
@@ -174,139 +176,181 @@ struct StreamFixture
     {
     }
 
-    StreamExecutorOptions
-    options(i64 threads) const
+    /** batch=off engine config; depth 1 + 1 thread is the oracle. */
+    EngineConfig
+    config(i64 threads, i64 depth = 3) const
     {
-        StreamExecutorOptions opts;
-        opts.num_threads = threads;
-        opts.store_outputs = true;
-        opts.make_policy = [](i64) {
-            return std::make_unique<StaticRatePolicy>(2);
-        };
-        return opts;
+        EngineConfig c;
+        c.policy = "static:interval=2";
+        c.num_threads = threads;
+        c.pipeline_depth = depth;
+        return c;
     }
 };
 
-TEST(StreamExecutor, ParallelOutputsBitIdenticalToSerial)
+/**
+ * Every outcome an engine commits, per stream, collected through the
+ * sessions' outcome sinks. Declare it before the engine it watches:
+ * the sinks must not outlive it.
+ */
+struct OutcomeLog
+{
+    std::vector<std::vector<FrameOutcome>> frames;
+
+    void
+    attach(Engine &engine, const std::vector<Sequence> &streams)
+    {
+        frames.assign(streams.size(), {});
+        for (size_t i = 0; i < streams.size(); ++i) {
+            // Sinks of different sessions may run concurrently; each
+            // appends only to its own stream's vector.
+            std::vector<FrameOutcome> *out = &frames[i];
+            engine.session(streams[i].name)
+                .set_outcome_sink(
+                    [out](const FrameOutcome &o) { out->push_back(o); });
+        }
+    }
+
+    /** Top-1 labels flattened in (stream, frame) order. */
+    std::vector<i64>
+    labels() const
+    {
+        std::vector<i64> out;
+        for (const std::vector<FrameOutcome> &stream : frames) {
+            for (const FrameOutcome &f : stream) {
+                out.push_back(f.top1);
+            }
+        }
+        return out;
+    }
+};
+
+TEST(EngineRun, ParallelOutputsBitIdenticalToSerial)
 {
     StreamFixture fx;
-    StreamExecutor serial(fx.net, fx.options(1));
-    StreamExecutor parallel(fx.net, fx.options(4));
+    OutcomeLog serial_log;
+    OutcomeLog parallel_log;
+    Engine serial(fx.net, fx.config(1, 1));
+    Engine parallel(fx.net, fx.config(4));
+    serial_log.attach(serial, fx.streams);
+    parallel_log.attach(parallel, fx.streams);
 
-    const BatchResult a = serial.run(fx.streams);
-    const BatchResult b = parallel.run(fx.streams);
+    const RunReport a = serial.run(fx.streams);
+    const RunReport b = parallel.run(fx.streams);
 
     ASSERT_EQ(a.streams.size(), fx.streams.size());
     ASSERT_EQ(b.streams.size(), fx.streams.size());
-    EXPECT_EQ(a.digest(), b.digest());
+    EXPECT_EQ(a.digest, b.digest);
     for (size_t i = 0; i < a.streams.size(); ++i) {
-        const StreamResult &sa = a.streams[i];
-        const StreamResult &sb = b.streams[i];
+        const StreamReport &sa = a.streams[i];
+        const StreamReport &sb = b.streams[i];
         EXPECT_EQ(sa.name, sb.name);
-        EXPECT_EQ(sa.stats.frames, sb.stats.frames);
-        EXPECT_EQ(sa.stats.key_frames, sb.stats.key_frames);
+        EXPECT_EQ(sa.frames, sb.frames);
+        EXPECT_EQ(sa.key_frames, sb.key_frames);
         EXPECT_EQ(sa.me_add_ops, sb.me_add_ops);
-        ASSERT_EQ(sa.frames.size(), sb.frames.size());
-        for (size_t f = 0; f < sa.frames.size(); ++f) {
-            EXPECT_EQ(sa.frames[f].is_key, sb.frames[f].is_key);
-            EXPECT_EQ(sa.frames[f].top1, sb.frames[f].top1);
-            EXPECT_EQ(sa.frames[f].output_digest,
-                      sb.frames[f].output_digest);
-        }
-        ASSERT_EQ(sa.outputs.size(), sb.outputs.size());
-        for (size_t f = 0; f < sa.outputs.size(); ++f) {
-            EXPECT_TRUE(sa.outputs[f] == sb.outputs[f])
+        const std::vector<FrameOutcome> &fa = serial_log.frames[i];
+        const std::vector<FrameOutcome> &fb = parallel_log.frames[i];
+        ASSERT_EQ(fa.size(), fb.size());
+        for (size_t f = 0; f < fa.size(); ++f) {
+            EXPECT_EQ(fa[f].is_key, fb[f].is_key);
+            EXPECT_EQ(fa[f].top1, fb[f].top1);
+            // The digest hashes the shape and every output bit.
+            EXPECT_EQ(fa[f].output_digest, fb[f].output_digest)
                 << "stream " << i << " frame " << f;
         }
     }
 }
 
-TEST(StreamExecutor, AggregationMatchesPerStreamStats)
+TEST(EngineRun, AggregationMatchesPerStreamStats)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(2));
-    const BatchResult batch = exec.run(fx.streams);
+    OutcomeLog log;
+    Engine engine(fx.net, fx.config(2));
+    log.attach(engine, fx.streams);
+    const RunReport report = engine.run(fx.streams);
 
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EXPECT_EQ(report.frames, 3 * 4);
     i64 keys = 0;
-    for (const StreamResult &s : batch.streams) {
-        EXPECT_EQ(s.stats.frames, 4);
-        EXPECT_GE(s.stats.key_frames, 1); // First frame is always key.
-        keys += s.stats.key_frames;
+    for (const StreamReport &s : report.streams) {
+        EXPECT_EQ(s.frames, 4);
+        EXPECT_GE(s.key_frames, 1); // First frame is always key.
+        keys += s.key_frames;
     }
-    EXPECT_EQ(batch.total_key_frames(), keys);
-    EXPECT_GT(batch.key_fraction(), 0.0);
-    EXPECT_LE(batch.key_fraction(), 1.0);
-    EXPECT_EQ(batch.labels().size(), static_cast<size_t>(12));
-    EXPECT_GT(batch.wall_ms, 0.0);
-    EXPECT_GT(batch.frames_per_second(), 0.0);
+    EXPECT_EQ(report.key_frames, keys);
+    EXPECT_GT(report.key_fraction(), 0.0);
+    EXPECT_LE(report.key_fraction(), 1.0);
+    EXPECT_EQ(log.labels().size(), static_cast<size_t>(12));
+    EXPECT_GT(report.wall_ms, 0.0);
+    EXPECT_GT(report.frames_per_second(), 0.0);
 
-    const double acc = batch_top1_accuracy(batch, fx.streams);
+    std::vector<i64> truth;
+    for (const Sequence &seq : fx.streams) {
+        for (const LabeledFrame &f : seq.frames) {
+            truth.push_back(f.truth.dominant_class);
+        }
+    }
+    const double acc = agreement(log.labels(), truth);
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
 }
 
-TEST(StreamExecutor, StatePersistsAcrossRunsAndResets)
+TEST(EngineRun, StatePersistsAcrossRunsAndResets)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(1));
-    const BatchResult first = exec.run(fx.streams);
-    // Pipelines keep their key frames, so a second pass over the same
-    // frames needs no initial key frame; stats report only the run's
-    // delta.
-    const BatchResult second = exec.run(fx.streams);
-    EXPECT_EQ(first.total_frames(), second.total_frames());
-    for (const StreamResult &s : second.streams) {
-        EXPECT_EQ(s.stats.frames, 4);
+    Engine engine(fx.net, fx.config(1));
+    const RunReport first = engine.run(fx.streams);
+    // Sessions keep their key frames, so a second pass over the same
+    // frames needs no initial key frame; the report covers only the
+    // run's own frames.
+    const RunReport second = engine.run(fx.streams);
+    EXPECT_EQ(first.frames, second.frames);
+    for (const StreamReport &s : second.streams) {
+        EXPECT_EQ(s.frames, 4);
     }
 
-    // After a reset the executor reproduces the first run exactly.
-    exec.reset_streams();
-    const BatchResult again = exec.run(fx.streams);
-    EXPECT_EQ(first.digest(), again.digest());
+    // After a reset the engine reproduces the first run exactly.
+    engine.reset();
+    const RunReport again = engine.run(fx.streams);
+    EXPECT_EQ(first.digest, again.digest);
 }
 
-TEST(StreamExecutor, StreamFailurePropagatesWithoutCrashing)
+TEST(EngineRun, StreamFailurePropagatesWithoutCrashing)
 {
     StreamFixture fx;
-    StreamExecutor exec(fx.net, fx.options(4));
-    // A stream whose frames don't match the network input makes its
-    // pipeline throw; run() must surface that after every in-flight
-    // stream task has finished (no use-after-free of streams or
-    // pipelines), and the executor must stay usable.
+    Engine engine(fx.net, fx.config(4, 1));
+    // A stream whose frames don't match the network input is
+    // rejected at submit; run() must surface that after every frame
+    // it already enqueued has drained (no use-after-free of the
+    // borrowed frames), and the engine must stay usable.
     std::vector<Sequence> bad = fx.streams;
     bad[1].frames[0].image = Tensor(1, 8, 8);
-    EXPECT_THROW(exec.run(bad), ConfigError);
-    exec.reset_streams();
-    const BatchResult batch = exec.run(fx.streams);
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EXPECT_THROW(engine.run(bad), ConfigError);
+    engine.reset();
+    const RunReport report = engine.run(fx.streams);
+    EXPECT_EQ(report.frames, 3 * 4);
 }
 
-TEST(StreamExecutor, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
+TEST(EngineRun, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
 {
     // The stage scheduler's pipelined execution (fronts serialized,
     // suffixes fanned out, commits in order) must be bit-identical
-    // to the legacy serial frame loop for every depth/pool shape.
-    // Run under TSan in CI, this is also the data-race gate for the
+    // to the serial oracle for every depth/pool shape. Run under
+    // TSan in CI, this is also the data-race gate for the
     // scheduler's synchronization.
     StreamFixture fx;
-    StreamExecutorOptions serial_opts = fx.options(1);
-    serial_opts.pipeline_depth = 1;
-    StreamExecutor serial(fx.net, serial_opts);
-    const BatchResult reference = serial.run(fx.streams);
+    Engine serial(fx.net, fx.config(1, 1));
+    const RunReport reference = serial.run(fx.streams);
 
     for (const i64 depth : {2, 3, 5}) {
         for (const i64 threads : {1, 2, 4}) {
-            StreamExecutorOptions opts = fx.options(threads);
-            opts.pipeline_depth = depth;
-            StreamExecutor pipelined(fx.net, opts);
-            const BatchResult got = pipelined.run(fx.streams);
-            EXPECT_EQ(got.digest(), reference.digest())
+            Engine pipelined(fx.net, fx.config(threads, depth));
+            const RunReport got = pipelined.run(fx.streams);
+            EXPECT_EQ(got.digest, reference.digest)
                 << "depth " << depth << ", threads " << threads;
             ASSERT_EQ(got.streams.size(), reference.streams.size());
             for (size_t i = 0; i < got.streams.size(); ++i) {
-                EXPECT_EQ(got.streams[i].frames.size(),
-                          reference.streams[i].frames.size());
+                EXPECT_EQ(got.streams[i].frames,
+                          reference.streams[i].frames);
                 EXPECT_EQ(got.streams[i].me_add_ops,
                           reference.streams[i].me_add_ops);
             }
@@ -314,18 +358,16 @@ TEST(StreamExecutor, PipelinedFramesBitIdenticalAcrossDepthsAndPools)
     }
 }
 
-TEST(StreamExecutor, PipelinedFailurePropagatesAndExecutorRecovers)
+TEST(EngineRun, PipelinedFailurePropagatesAndEngineRecovers)
 {
     StreamFixture fx;
-    StreamExecutorOptions opts = fx.options(4);
-    opts.pipeline_depth = 3;
-    StreamExecutor exec(fx.net, opts);
+    Engine engine(fx.net, fx.config(4, 3));
     std::vector<Sequence> bad = fx.streams;
     bad[1].frames[0].image = Tensor(1, 8, 8);
-    EXPECT_THROW(exec.run(bad), ConfigError);
-    exec.reset_streams();
-    const BatchResult batch = exec.run(fx.streams);
-    EXPECT_EQ(batch.total_frames(), 3 * 4);
+    EXPECT_THROW(engine.run(bad), ConfigError);
+    engine.reset();
+    const RunReport report = engine.run(fx.streams);
+    EXPECT_EQ(report.frames, 3 * 4);
 }
 
 TEST(TensorDigest, SensitiveToValuesAndShape)

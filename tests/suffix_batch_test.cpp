@@ -302,14 +302,17 @@ TEST(SuffixBatcher, InlineModeRunsBatchOfOne)
 }
 
 // --------------------------------------------------------------------
-// Executor-level digest identity
+// Engine-level digest identity
 
-AmcOptions
-small_amc()
+/** A small-radius engine config; batch off unless set. */
+EngineConfig
+small_config(i64 threads, i64 depth)
 {
-    AmcOptions opts;
-    opts.search_radius = 10;
-    return opts;
+    EngineConfig c;
+    c.search_radius = 10;
+    c.num_threads = threads;
+    c.pipeline_depth = depth;
+    return c;
 }
 
 /**
@@ -328,38 +331,27 @@ TEST(SuffixBatchSweep, BatchedDigestsMatchUnbatchedEverywhere)
         "static:interval=3",
         "adaptive_error:th=0.05,max_gap=6",
     };
-    const std::vector<ConvKernel> kernels = {ConvKernel::kIm2colGemm,
-                                             ConvKernel::kDirect};
+    const std::vector<std::string> kernels = {"gemm", "direct"};
     for (const std::string &policy : policies) {
-        for (const ConvKernel kernel : kernels) {
-            auto options = [&](bool batch, i64 threads) {
-                StreamExecutorOptions o;
-                o.num_threads = threads;
-                o.pipeline_depth = 3;
-                o.amc = small_amc();
-                o.amc.plan.conv_kernel = kernel;
-                o.make_policy = [policy](i64) {
-                    return PolicyRegistry::instance().make(policy);
-                };
-                o.suffix_batch.enabled = batch;
-                o.suffix_batch.max_batch = 4;
-                o.suffix_batch.max_delay_us = 200;
-                return o;
+        for (const std::string &kernel : kernels) {
+            auto config = [&](bool batch, i64 threads) {
+                EngineConfig c = small_config(threads, 3);
+                c.kernel = kernel;
+                c.policy = policy;
+                c.batch = batch ? "auto:max=4,delay_us=200" : "off";
+                return c;
             };
-            StreamExecutor serial(net, options(false, 1));
-            StreamExecutor batched(net, options(true, 4));
-            const BatchResult a = serial.run(streams);
-            const BatchResult b = batched.run(streams);
+            Engine serial(net, config(false, 1));
+            Engine batched(net, config(true, 4));
+            const RunReport a = serial.run(streams);
+            const RunReport b = batched.run(streams);
             ASSERT_EQ(a.streams.size(), b.streams.size());
             for (size_t i = 0; i < a.streams.size(); ++i) {
                 EXPECT_EQ(a.streams[i].digest, b.streams[i].digest)
-                    << "policy " << policy << ", kernel "
-                    << conv_kernel_name(kernel) << ", stream "
-                    << a.streams[i].name;
+                    << "policy " << policy << ", kernel " << kernel
+                    << ", stream " << a.streams[i].name;
             }
-            const SuffixBatchStats stats =
-                batched.suffix_batch_stats();
-            EXPECT_EQ(stats.items,
+            EXPECT_EQ(b.batching.items,
                       static_cast<i64>(streams.size()) * 4)
                 << "every suffix must route through the batcher";
         }
@@ -373,21 +365,13 @@ TEST(SuffixBatchSweep, DepthOneStillBatchesAcrossStreams)
     const std::vector<Sequence> streams =
         multi_stream_set(/*seed=*/9, /*num_streams=*/4,
                          /*frames_per_stream=*/3, /*size=*/96);
-    auto options = [&](bool batch, i64 threads, i64 depth) {
-        StreamExecutorOptions o;
-        o.num_threads = threads;
-        o.pipeline_depth = depth;
-        o.amc = small_amc();
-        o.suffix_batch.enabled = batch;
-        o.suffix_batch.max_batch = 4;
-        return o;
-    };
-    StreamExecutor serial(net, options(false, 1, 1));
-    StreamExecutor batched(net, options(true, 4, 1));
-    EXPECT_EQ(serial.run(streams).digest(),
-              batched.run(streams).digest());
-    EXPECT_EQ(batched.suffix_batch_stats().items,
-              static_cast<i64>(streams.size()) * 3);
+    EngineConfig on = small_config(4, 1);
+    on.batch = "auto:max=4";
+    Engine serial(net, small_config(1, 1));
+    Engine batched(net, on);
+    const RunReport b = batched.run(streams);
+    EXPECT_EQ(serial.run(streams).digest, b.digest);
+    EXPECT_EQ(b.batching.items, static_cast<i64>(streams.size()) * 3);
 }
 
 // --------------------------------------------------------------------
@@ -533,29 +517,24 @@ TEST(EngineBatch, ResetThenResubmitWorks)
 TEST(EngineBatch, SteadyStatePredictedFramesAllocateNothing)
 {
     Network net = small_net();
-    StreamExecutorOptions opts;
-    opts.num_threads = 1; // Inline: the global counter stays ours.
-    opts.pipeline_depth = 3;
-    opts.amc = small_amc();
-    opts.make_policy = [](i64) {
-        return std::make_unique<StaticRatePolicy>(1000);
-    };
-    opts.suffix_batch.enabled = true;
-    opts.suffix_batch.max_batch = 4;
-    StreamExecutor exec(net, opts);
+    // Inline (one thread): the global counter stays ours.
+    EngineConfig config = small_config(1, 3);
+    config.policy = "static:interval=1000";
+    config.batch = "auto:max=4";
+    Engine engine(net, config);
 
     const std::vector<Sequence> warmup =
         multi_stream_set(/*seed=*/13, 1, 3, 96);
     const std::vector<Sequence> steady =
         multi_stream_set(/*seed=*/13, 1, 6, 96);
-    exec.run(warmup); // Key frame + slot/arena growth.
+    engine.run(warmup); // Key frame + slot/arena growth.
 
     const u64 before = Tensor::buffer_allocations();
-    const BatchResult batch = exec.run(steady);
+    const RunReport report = engine.run(steady);
     const u64 after = Tensor::buffer_allocations();
-    EXPECT_EQ(batch.total_key_frames(), 0)
+    EXPECT_EQ(report.key_frames, 0)
         << "steady-state run unexpectedly re-keyed";
-    EXPECT_EQ(batch.total_frames(), 6);
+    EXPECT_EQ(report.frames, 6);
     EXPECT_EQ(after - before, 0u)
         << "batched predicted frames allocated tensor buffers";
 }
